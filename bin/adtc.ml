@@ -533,7 +533,6 @@ let engine_arg =
     Arg.enum
       [
         ("auto", Adt.Rewrite.Automaton);
-        ("index", Adt.Rewrite.Index);
         ("reference", Adt.Rewrite.Reference);
       ]
   in
@@ -543,10 +542,9 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Matching engine: $(b,auto) (the compiled matching automaton, \
-           the default), $(b,index) (the two-level rule index), or \
-           $(b,reference) (the naive linear-scan oracle). All three \
-           produce identical answers; also settable through the \
-           $(b,ADTC_ENGINE) environment variable (the flag wins).")
+           the default) or $(b,reference) (the naive linear-scan \
+           oracle). Both produce identical answers; also settable \
+           through the $(b,ADTC_ENGINE) environment variable (the flag wins).")
 
 let set_engine engine = Option.iter Adt.Rewrite.set_default_engine engine
 

@@ -5,7 +5,10 @@
    - client A takes the single slot and is served;
    - client B is refused with [error busy] and closed;
    - A quits, freeing the slot, and a later client C is served from the
-     same session (the shared cache is already warm: steps=0);
+     same session (the shared cache is already warm: steps=0). The server
+     runs one domain: interpreter memos are per-domain slots, so with more
+     domains C could land on a cold slot and the transcript would depend
+     on which domain accepts it;
    - SIGTERM shuts the server down gracefully and removes its socket. *)
 
 let die fmt =
@@ -49,6 +52,8 @@ let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let () =
   if Array.length Sys.argv <> 3 then die "usage: serve_busy ADTC SPEC";
+  (* a write to a refused connection must raise, not kill the driver *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let adtc = Sys.argv.(1) and spec = Sys.argv.(2) in
   let path =
     Filename.concat
@@ -58,7 +63,10 @@ let () =
   if Sys.file_exists path then Sys.remove path;
   let pid =
     Unix.create_process adtc
-      [| adtc; "serve"; spec; "--socket"; path; "--max-clients"; "1" |]
+      [|
+        adtc; "serve"; spec; "--socket"; path; "--max-clients"; "1";
+        "--domains"; "1";
+      |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   let a = connect path in
@@ -77,8 +85,14 @@ let () =
   let deadline = Unix.gettimeofday () +. 10. in
   let rec served () =
     let c = connect path in
-    send c "normalize Queue IS_EMPTY?(NEW)";
-    let r = recv c in
+    let r =
+      (* a refused connection may be closed before the request is written
+         or its reply read: that is the busy refusal too *)
+      try
+        send c "normalize Queue IS_EMPTY?(NEW)";
+        recv c
+      with Sys_error _ -> "error busy"
+    in
     close c;
     if String.length r >= 10 && String.equal (String.sub r 0 10) "error busy"
     then begin

@@ -10,7 +10,7 @@ let create ?(fuel = Rewrite.default_fuel) ?(memo = false) ?memo_capacity spec =
     spec;
     (* keyed by content digest: re-creating an interpreter for an
        unchanged spec (server restart, session reload) reuses the
-       compiled rule index instead of recompiling it *)
+       compiled rule system instead of recompiling it *)
     system = Rewrite.of_spec_keyed ~key:(Spec_digest.spec spec) spec;
     fuel;
     memo =

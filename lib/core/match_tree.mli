@@ -7,7 +7,7 @@
     (held in a register) exactly once and switches on its head
     constructor, so common pattern prefixes across rules are tested a
     single time, instead of once per candidate rule as the linear scan
-    and the two-level index both do.
+    does.
 
     {b Priority.} First-match-wins order is preserved exactly. A rule
     whose pattern has a variable at the inspected position constrains

@@ -36,35 +36,29 @@ module String_map = Map.Make (String)
 
 (* {2 Engine selection}
 
-   Three engines share one [system] value and agree on every observable
+   Two engines share one [system] value and agree on every observable
    (normal forms, step counts, error strictness, fuel exhaustion —
    [test/test_diff.ml] is the proof):
 
-   - [Reference]: the naive pre-index engine — linear rule scan, deep
-     structural equality. The slowest; kept as the differential oracle.
-   - [Index]: the two-level index — head symbol, then first-argument
-     constructor fingerprint; candidates re-matched structurally.
+   - [Reference]: the naive engine — linear rule scan, deep structural
+     equality. The slowest; kept as the differential oracle.
    - [Automaton]: the compiled matching automaton ([Match_tree]) —
      every subterm inspected once, no substitution maps, rule firing
      through precomputed right-hand-side templates. The default.
 
    The process-wide default seeds each compiled system's dispatch
    engine; it is initialized from the ADTC_ENGINE environment variable
-   ("reference" | "index" | "auto") and settable by the CLI's --engine
+   ("reference" | "auto") and settable by the CLI's --engine
    flag. A system remembers its engine, so interpreters forked from it
    (and every domain of the server pool) dispatch identically. *)
 
-type engine = Reference | Index | Automaton
+type engine = Reference | Automaton
 
-let engine_name = function
-  | Reference -> "reference"
-  | Index -> "index"
-  | Automaton -> "auto"
+let engine_name = function Reference -> "reference" | Automaton -> "auto"
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "reference" -> Some Reference
-  | "index" | "indexed" -> Some Index
   | "auto" | "automaton" -> Some Automaton
   | _ -> None
 
@@ -77,87 +71,14 @@ let default_engine_ref =
       | Some e -> e
       | None ->
         Fmt.epr
-          "adtc: ignoring ADTC_ENGINE=%S (expected reference|index|auto)@." s;
+          "adtc: ignoring ADTC_ENGINE=%S (expected reference|auto)@." s;
         Automaton))
 
 let default_engine () = !default_engine_ref
 let set_default_engine e = default_engine_ref := e
 
-(* {2 The compiled two-level rule index}
-
-   Rules are grouped by head symbol, then discriminated a second time on
-   the shape of the subject's {e first argument} — the argument the corpus
-   axioms case-split on (FRONT(NEW) vs FRONT(ADD(q,i)), RETRIEVE'(INIT')
-   vs RETRIEVE'(ADD'(...)), ...). A rule whose first-argument pattern is a
-   variable matches any subject, so it is {e generic}: it appears in the
-   generic list and is merged into every fingerprint bucket. A rule whose
-   first-argument pattern opens with constructor [g] can only match a
-   subject whose first argument opens with [g], so it appears in bucket
-   [g] alone. Each bucket is a filter of the priority-ordered per-head
-   list, so relative axiom priority inside a bucket is exactly the
-   declaration order — the same order the linear scan tries.
-
-   Soundness of skipping: a pattern headed by [App g] cannot match a
-   subject whose first argument is a variable, an [error], an
-   if-then-else, or an application of a different head; likewise for
-   [Err]/[Ite]-headed patterns. The bucket for a fingerprint therefore
-   contains a superset of the rules that can match any subject with that
-   fingerprint, and the matcher itself still verifies each candidate. *)
-
-type compiled = {
-  head_rules : rule list; (* every rule with this head, priority order *)
-  generic : rule list; (* rules whose first-argument pattern is a variable *)
-  by_fp : rule list String_map.t;
-      (* first-argument fingerprint -> specific + generic rules, merged in
-         priority order *)
-}
-
-(* fingerprint keys: operation names prefixed to stay disjoint from the
-   builtin error / if-then-else shapes *)
-let fp_op name = "o:" ^ name
-let fp_err = "e"
-let fp_ite = "i"
-
-let first_pat r =
-  match Term.view r.lhs with
-  | Term.App (_, p :: _) -> Some p
-  | _ -> None
-
-(* [None] = generic: matches any first argument *)
-let fp_of_rule r =
-  match first_pat r with
-  | None -> None
-  | Some p -> (
-    match Term.view p with
-    | Term.Var _ -> None
-    | Term.App (g, _) -> Some (fp_op (Op.name g))
-    | Term.Err _ -> Some fp_err
-    | Term.Ite _ -> Some fp_ite)
-
-let compile_bucket head_rules =
-  let generic = List.filter (fun r -> fp_of_rule r = None) head_rules in
-  let fps =
-    List.sort_uniq String.compare (List.filter_map fp_of_rule head_rules)
-  in
-  let by_fp =
-    List.fold_left
-      (fun m fp ->
-        let merged =
-          List.filter
-            (fun r ->
-              match fp_of_rule r with
-              | None -> true (* generic: can match any fingerprint *)
-              | Some f -> String.equal f fp)
-            head_rules
-        in
-        String_map.add fp merged m)
-      String_map.empty fps
-  in
-  { head_rules; generic; by_fp }
-
 type system = {
   all : rule list; (* priority order: earlier rules tried first *)
-  by_head : compiled String_map.t;
   trees : (string, rule Match_tree.t) Hashtbl.t;
       (* the matching automaton, one per head symbol; built once in
          [of_rules] and never mutated after, so sharing it across
@@ -180,8 +101,6 @@ let group_by_head rules =
       String_map.add key (existing @ [ r ]) m)
     String_map.empty rules
 
-let index rules = String_map.map compile_bucket (group_by_head rules)
-
 (* one automaton per head-symbol group; the automaton's own root switch
    re-verifies the exact operation ([Op.equal]), so two operations that
    share a name but not a rank never cross-match *)
@@ -200,7 +119,7 @@ let of_rules ?engine all =
   let engine =
     match engine with Some e -> e | None -> default_engine ()
   in
-  { all; by_head = index all; trees = compile_trees all; engine }
+  { all; trees = compile_trees all; engine }
 
 let of_spec ?engine spec =
   (* an axiom with free right-hand-side variables (parsed leniently so the
@@ -229,8 +148,8 @@ let default_fuel = 200_000
 
    Every engine reduces to one shape: a redex finder
    [Term.t -> (rule * Term.t) option] answering the first matching rule
-   (priority order) and the instantiated right-hand side. The generic
-   strategy loops below are engine-blind — they only consume finders. *)
+   (priority order) and the instantiated right-hand side. The outermost
+   loop and {!step} below are engine-blind — they only consume finders. *)
 
 (* the naive structural matcher, shared by the [Reference] engine and the
    reference finder: binds and compares with deep structural equality and
@@ -285,40 +204,6 @@ module Linear = struct
     | _ -> None
 end
 
-(* second-level dispatch: pick the bucket for the subject's first
-   argument; a fingerprint no rule specializes on falls back to the
-   generic rules (the only ones that could match) *)
-let candidate_rules sys op args =
-  match String_map.find_opt (Op.name op) sys.by_head with
-  | None -> []
-  | Some c -> (
-    match args with
-    | [] -> c.head_rules
-    | a1 :: _ -> (
-      let fp_bucket fp =
-        match String_map.find_opt fp c.by_fp with
-        | Some rs -> rs
-        | None -> c.generic
-      in
-      match Term.view a1 with
-      | Term.Var _ -> c.generic
-      | Term.App (g, _) -> fp_bucket (fp_op (Op.name g))
-      | Term.Err _ -> fp_bucket fp_err
-      | Term.Ite _ -> fp_bucket fp_ite))
-
-let find_index sys t =
-  match Term.view t with
-  | Term.App (op, args) ->
-    let rec first = function
-      | [] -> None
-      | r :: rest -> (
-        match Subst.match_term ~pattern:r.lhs t with
-        | Some s -> Some (r, Subst.apply s r.rhs)
-        | None -> first rest)
-    in
-    first (candidate_rules sys op args)
-  | _ -> None
-
 let find_automaton sys t =
   match Term.view t with
   | Term.App (op, _) -> (
@@ -335,43 +220,7 @@ let find_reference sys t =
 let finder sys =
   match sys.engine with
   | Reference -> find_reference sys
-  | Index -> find_index sys
   | Automaton -> find_automaton sys
-
-(* Leftmost-innermost normalization.  [on_apply] is called once per rule
-   application and may raise to abort. *)
-let innermost ~find ~on_apply term =
-  let rec norm t =
-    match Term.view t with
-    | Term.Var _ | Term.Err _ -> t
-    | Term.Ite (c, th, el) -> (
-      let c' = norm c in
-      if Term.equal c' Term.tt then norm th
-      else if Term.equal c' Term.ff then norm el
-      else
-        match Term.view c' with
-        | Term.Err _ -> Term.err (Term.sort_of th)
-        | _ ->
-          (* stuck conditional: branches stay frozen, otherwise recursive
-             definitions would unfold without bound under an undecided
-             condition (ground conditions always decide, so evaluation is
-             unaffected) *)
-          Term.ite_unchecked c' th el)
-    | Term.App (op, args) -> (
-      let args' = List.map norm args in
-      if List.exists Term.is_error args' then Term.err (Op.result op)
-      else
-        let t' =
-          if List.for_all2 ( == ) args args' then t
-          else Term.app_unchecked op args'
-        in
-        match find t' with
-        | None -> t'
-        | Some (r, reduct) ->
-          on_apply r;
-          norm reduct)
-  in
-  norm term
 
 (* One leftmost-outermost step, or None. *)
 let rec outer_step ~find t =
@@ -384,7 +233,8 @@ let rec outer_step ~find t =
       match Term.view c with
       | Term.Err _ -> Some (Term.err (Term.sort_of th), "<error>")
       | _ -> (
-        (* branches of a stuck conditional are frozen, as in [innermost] *)
+        (* branches of a stuck conditional are frozen, as in the
+           innermost loops *)
         match outer_step ~find c with
         | Some (c', n) -> Some (Term.ite_unchecked c' th el, n)
         | None -> None))
@@ -431,44 +281,25 @@ let no_poll () = ()
 let fire on_rule r =
   match on_rule with None -> () | Some f -> f r.rule_name
 
-let run_with_find ~find ?(strategy = Innermost) ?(fuel = default_fuel)
-    ?(poll = no_poll) ?on_rule ~on_apply term =
-  let remaining = ref fuel in
-  let counted r =
-    (* a dedicated exception: a caller-supplied [on_apply] may raise its
-       own exceptions (Exit included) to abort, and those must not be
-       misreported as fuel exhaustion *)
-    if !remaining <= 0 then raise Fuel_exhausted;
-    decr remaining;
-    poll ();
-    fire on_rule r;
-    on_apply r
-  in
-  try
-    match strategy with
-    | Innermost -> innermost ~find ~on_apply:counted term
-    | Outermost -> outermost ~find ~on_apply:counted term
-  with Fuel_exhausted -> raise (Out_of_fuel term)
-
 (* {2 The fused automaton loop}
 
-   Innermost normalization interleaved with template instantiation. The
-   generic loop above fires a rule by instantiating its full right-hand
-   side and re-normalizing the result — which re-walks every fetched
-   subterm even though, under innermost rewriting, a subterm bound at a
-   non-frozen pattern position is already in normal form (the arguments
-   were normalized before matching, and innermost normal forms are
-   norm-fixpoints). Here the leaf's {!Match_tree.builder} template is
+   Innermost normalization interleaved with template instantiation. A
+   plain innermost loop (the [Reference] engine's, below) fires a rule by
+   instantiating its full right-hand side and re-normalizing the result —
+   which re-walks every fetched subterm even though, under innermost
+   rewriting, a subterm bound at a non-frozen pattern position is already
+   in normal form (the arguments were normalized before matching, and
+   innermost normal forms are norm-fixpoints). Here the leaf's {!Match_tree.builder} template is
    normalized directly instead: [Fetch]ed registers are returned without
    a walk, [Fetch_frozen] registers (bound through the branch of an
    if-then-else pattern, where stuck conditionals keep frozen redexes)
    are re-normalized, and constructed nodes are normalized
    bottom-up as the template unfolds. Rule firing order and count are
-   exactly the generic loop's: normalizing the instantiated reduct
+   exactly the plain loop's: normalizing the instantiated reduct
    leftmost-innermost visits the same redexes in the same order, and
    skipped fetches contribute zero firings either way. The differential
    harness ([test/test_diff.ml]) pins this equivalence — normal form
-   {e and} step count — against both oracle engines on every corpus
+   {e and} step count — against the reference engine on every corpus
    specification. *)
 
 let template_of sys t =
@@ -535,31 +366,71 @@ let automaton_innermost ~on_apply sys term =
         | Term.Err _ -> Term.err (Term.sort_of (Match_tree.instantiate regs a))
         | _ ->
           (* stuck: freeze the branches instantiated but unnormalized,
-             exactly as the generic loop leaves them *)
+             exactly as the plain loop leaves them *)
           Term.ite_unchecked c'
             (Match_tree.instantiate regs a)
             (Match_tree.instantiate regs b))
   in
   norm term
 
-let run_fused ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule ~on_apply sys
-    term =
+let run_automaton ?(strategy = Innermost) ?(fuel = default_fuel)
+    ?(poll = no_poll) ?on_rule ~on_apply sys term =
   let remaining = ref fuel in
   let counted r =
+    (* a dedicated exception: a caller-supplied [on_apply] may raise its
+       own exceptions (Exit included) to abort, and those must not be
+       misreported as fuel exhaustion *)
     if !remaining <= 0 then raise Fuel_exhausted;
     decr remaining;
     poll ();
     fire on_rule r;
     on_apply r
   in
-  try automaton_innermost ~on_apply:counted sys term
+  try
+    match strategy with
+    | Innermost -> automaton_innermost ~on_apply:counted sys term
+    | Outermost ->
+      outermost ~find:(find_automaton sys) ~on_apply:counted term
   with Fuel_exhausted -> raise (Out_of_fuel term)
+
+module Term_lru = Lru.Make (struct
+  type t = Term.t
+
+  (* hash-consing makes structural equality physical and gives every term
+     a unique id: the memo keys on identity, no structural hashing at all *)
+  let equal = Term.equal
+  let hash = Term.id
+end)
+
+module Memo = struct
+  type t = {
+    cache : Term.t Term_lru.t;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let default_capacity = Term_lru.default_capacity
+
+  let create ?capacity () =
+    { cache = Term_lru.create ?capacity (); hits = 0; misses = 0 }
+
+  let clear m =
+    Term_lru.clear m.cache;
+    m.hits <- 0;
+    m.misses <- 0
+
+  let size m = Term_lru.length m.cache
+  let capacity m = Term_lru.capacity m.cache
+  let hits m = m.hits
+  let misses m = m.misses
+  let evictions m = Term_lru.evictions m.cache
+end
 
 (* {1 The reference engine}
 
-   A deliberately naive copy of the rewriting algorithm from before the
-   index and hash-consing landed: rules are scanned linearly in priority
-   order, matching binds and compares with deep structural equality, and
+   A deliberately naive copy of the rewriting algorithm from before rule
+   compilation and hash-consing landed: rules are scanned linearly in
+   priority order, matching binds and compares with deep structural equality, and
    nothing consults ids, precomputed hashes, or the intern table. It is
    the oracle the differential harness ([test/test_diff.ml]) normalizes
    every random term against — byte-for-byte the same strategy, error
@@ -668,24 +539,66 @@ module Reference = struct
       run ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> incr n) sys term
     in
     (t, !n)
+
+  (* the oracle's memo loop: every application node is probed, and a miss
+     reduces through the linear scan *)
+  let memo_count ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule ~memo sys
+      term =
+    let remaining = ref fuel in
+    let rec norm t =
+      match Term.view t with
+      | Term.Var _ | Term.Err _ -> t
+      | Term.Ite (c, th, el) -> (
+        let c' = norm c in
+        if Term.equal c' Term.tt then norm th
+        else if Term.equal c' Term.ff then norm el
+        else
+          match Term.view c' with
+          | Term.Err _ -> Term.err (Term.sort_of th)
+          | _ -> Term.ite_unchecked c' th el)
+      | Term.App (op, args) -> (
+        match Term_lru.find memo.Memo.cache t with
+        | Some nf ->
+          memo.Memo.hits <- memo.Memo.hits + 1;
+          nf
+        | None ->
+          memo.Memo.misses <- memo.Memo.misses + 1;
+          let args' = List.map norm args in
+          let nf =
+            if List.exists Term.is_error args' then Term.err (Op.result op)
+            else
+              let t' =
+                if List.for_all2 ( == ) args args' then t
+                else Term.app_unchecked op args'
+              in
+              match find_reference sys t' with
+              | None -> t'
+              | Some (r, reduct) ->
+                if !remaining <= 0 then raise (Out_of_fuel t);
+                decr remaining;
+                poll ();
+                fire on_rule r;
+                norm reduct
+          in
+          Term_lru.add memo.Memo.cache t nf;
+          nf)
+    in
+    let nf = norm term in
+    (nf, fuel - !remaining)
 end
 
 (* {1 Engine-dispatched entry points}
 
    [normalize] and friends follow the system's engine. The [Reference]
-   engine keeps its historically separate loop (structural equality
-   everywhere — the whole point of the oracle); [Index] and [Automaton]
-   share the generic loops above, differing only in the redex finder. *)
+   engine keeps its separate loops (structural equality everywhere — the
+   whole point of the oracle). *)
 
-let run ?(strategy = Innermost) ?fuel ?poll ?on_rule ~on_apply sys term =
-  match (sys.engine, strategy) with
-  | Reference, _ ->
-    Reference.run ~strategy ?fuel ?poll ?on_rule ~on_apply sys term
-  | Automaton, Innermost ->
-    run_fused ?fuel ?poll ?on_rule ~on_apply sys term
-  | (Index | Automaton), _ ->
-    run_with_find ~find:(finder sys) ~strategy ?fuel ?poll ?on_rule ~on_apply
-      term
+let run ?strategy ?fuel ?poll ?on_rule ~on_apply sys term =
+  match sys.engine with
+  | Reference ->
+    Reference.run ?strategy ?fuel ?poll ?on_rule ~on_apply sys term
+  | Automaton ->
+    run_automaton ?strategy ?fuel ?poll ?on_rule ~on_apply sys term
 
 let normalize ?strategy ?fuel ?poll ?on_rule sys term =
   run ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> ()) sys term
@@ -713,36 +626,11 @@ let joinable ?strategy ?fuel sys a b =
    engine regardless of [engine_of] — what the differential harness and
    the E18 bench quantify over *)
 
-module Index = struct
-  let normalize ?strategy ?fuel ?poll ?on_rule sys term =
-    run_with_find ~find:(find_index sys) ?strategy ?fuel ?poll ?on_rule
-      ~on_apply:(fun _ -> ()) term
-
-  let normalize_opt ?strategy ?fuel ?poll ?on_rule sys term =
-    match normalize ?strategy ?fuel ?poll ?on_rule sys term with
-    | t -> Some t
-    | exception Out_of_fuel _ -> None
-
-  let normalize_count ?strategy ?fuel ?poll ?on_rule sys term =
-    let n = ref 0 in
-    let t =
-      run_with_find ~find:(find_index sys) ?strategy ?fuel ?poll ?on_rule
-        ~on_apply:(fun _ -> incr n) term
-    in
-    (t, !n)
-end
-
 module Automaton = struct
-  let run_pinned ?(strategy = Innermost) ?fuel ?poll ?on_rule ~on_apply sys
-      term =
-    match strategy with
-    | Innermost -> run_fused ?fuel ?poll ?on_rule ~on_apply sys term
-    | Outermost ->
-      run_with_find ~find:(find_automaton sys) ~strategy:Outermost ?fuel ?poll
-        ?on_rule ~on_apply term
-
   let normalize ?strategy ?fuel ?poll ?on_rule sys term =
-    run_pinned ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> ()) sys term
+    run_automaton ?strategy ?fuel ?poll ?on_rule
+      ~on_apply:(fun _ -> ())
+      sys term
 
   let normalize_opt ?strategy ?fuel ?poll ?on_rule sys term =
     match normalize ?strategy ?fuel ?poll ?on_rule sys term with
@@ -752,44 +640,11 @@ module Automaton = struct
   let normalize_count ?strategy ?fuel ?poll ?on_rule sys term =
     let n = ref 0 in
     let t =
-      run_pinned ?strategy ?fuel ?poll ?on_rule
+      run_automaton ?strategy ?fuel ?poll ?on_rule
         ~on_apply:(fun _ -> incr n)
         sys term
     in
     (t, !n)
-end
-
-module Term_lru = Lru.Make (struct
-  type t = Term.t
-
-  (* hash-consing makes structural equality physical and gives every term
-     a unique id: the memo keys on identity, no structural hashing at all *)
-  let equal = Term.equal
-  let hash = Term.id
-end)
-
-module Memo = struct
-  type t = {
-    cache : Term.t Term_lru.t;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let default_capacity = Term_lru.default_capacity
-
-  let create ?capacity () =
-    { cache = Term_lru.create ?capacity (); hits = 0; misses = 0 }
-
-  let clear m =
-    Term_lru.clear m.cache;
-    m.hits <- 0;
-    m.misses <- 0
-
-  let size m = Term_lru.length m.cache
-  let capacity m = Term_lru.capacity m.cache
-  let hits m = m.hits
-  let misses m = m.misses
-  let evictions m = Term_lru.evictions m.cache
 end
 
 (* the fused-automaton memo loop: the memo is consulted at application
@@ -931,55 +786,10 @@ let automaton_memo_count ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule
   in
   (nf, fuel - !remaining)
 
-let indexed_memo_count ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule
-    ~memo sys term =
-  let find = finder sys in
-  let remaining = ref fuel in
-  let rec norm t =
-    match Term.view t with
-    | Term.Var _ | Term.Err _ -> t
-    | Term.Ite (c, th, el) -> (
-      let c' = norm c in
-      if Term.equal c' Term.tt then norm th
-      else if Term.equal c' Term.ff then norm el
-      else
-        match Term.view c' with
-        | Term.Err _ -> Term.err (Term.sort_of th)
-        | _ -> Term.ite_unchecked c' th el)
-    | Term.App (op, args) -> (
-      match Term_lru.find memo.Memo.cache t with
-      | Some nf ->
-        memo.Memo.hits <- memo.Memo.hits + 1;
-        nf
-      | None ->
-        memo.Memo.misses <- memo.Memo.misses + 1;
-        let args' = List.map norm args in
-        let nf =
-          if List.exists Term.is_error args' then Term.err (Op.result op)
-          else
-            let t' =
-              if List.for_all2 ( == ) args args' then t
-              else Term.app_unchecked op args'
-            in
-            match find t' with
-            | None -> t'
-            | Some (r, reduct) ->
-              if !remaining <= 0 then raise (Out_of_fuel t);
-              decr remaining;
-              poll ();
-              fire on_rule r;
-              norm reduct
-        in
-        Term_lru.add memo.Memo.cache t nf;
-        nf)
-  in
-  let nf = norm term in
-  (nf, fuel - !remaining)
-
 let normalize_memo_count ?fuel ?poll ?on_rule ~memo sys term =
   match sys.engine with
   | Automaton -> automaton_memo_count ?fuel ?poll ?on_rule ~memo sys term
-  | Reference | Index -> indexed_memo_count ?fuel ?poll ?on_rule ~memo sys term
+  | Reference -> Reference.memo_count ?fuel ?poll ?on_rule ~memo sys term
 
 let normalize_memo ?fuel ?poll ?on_rule ~memo sys term =
   fst (normalize_memo_count ?fuel ?poll ?on_rule ~memo sys term)
@@ -1075,11 +885,11 @@ let normalize_stats ?strategy ?fuel sys term =
 
 (* {1 The compiled-system cache}
 
-   Compiling a spec's rule index is pure — the system depends only on the
+   Compiling a spec's rule automaton is pure — the system depends only on the
    executable axioms in order — so systems are interned by the caller's
    content key (Spec_digest.spec in practice). Before this cache, every
-   Session spec load and every Interp.create recompiled the two-level
-   index from scratch even when the spec was byte-identical; now a reload
+   Session spec load and every Interp.create recompiled the rules from
+   scratch even when the spec was byte-identical; now a reload
    of an unchanged spec is one table probe. Sharing a compiled system
    across interpreters (and domains) is already the forked-interpreter
    contract: the system is immutable after construction. A full cache

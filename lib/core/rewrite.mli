@@ -18,7 +18,7 @@
     strictness only on arguments in normal form), and is used by the
     completion and proof machinery where laziness is harmless.
 
-    Three matching engines implement the same semantics (see {!engine});
+    Two matching engines implement the same semantics (see {!engine});
     they are proven observably identical by the differential harness in
     [test/test_diff.ml] and selectable per system. *)
 
@@ -36,12 +36,9 @@ val pp_rule : rule Fmt.t
 
     How redexes are located (semantics never changes, only speed):
 
-    - [Reference] — the pre-index engine: linear rule scan, deep
+    - [Reference] — the naive engine: linear rule scan, deep
       structural equality, no ids or intern-table shortcuts. The
       differential oracle.
-    - [Index] — the two-level rule index: head symbol, then
-      first-argument constructor fingerprint; surviving candidates are
-      re-matched structurally.
     - [Automaton] — rules compiled into a {!Match_tree} matching
       automaton: every subterm inspected once, rule firing through
       precomputed right-hand-side templates. The default.
@@ -49,16 +46,16 @@ val pp_rule : rule Fmt.t
     A system is pinned to the engine it was compiled with
     ({!engine_of}); every system built without an explicit [?engine]
     uses {!default_engine}, which is initialized from the [ADTC_ENGINE]
-    environment variable ([reference] | [index] | [auto], default
+    environment variable ([reference] | [auto], default
     [auto]) and set by the CLI's [--engine] flag. *)
 
-type engine = Reference | Index | Automaton
+type engine = Reference | Automaton
 
 val engine_name : engine -> string
-(** ["reference"], ["index"], ["auto"]. *)
+(** ["reference"], ["auto"]. *)
 
 val engine_of_string : string -> engine option
-(** Accepts (case-insensitively) ["reference"], ["index"]/["indexed"],
+(** Accepts (case-insensitively) ["reference"] and
     ["auto"]/["automaton"]. *)
 
 val default_engine : unit -> engine
@@ -109,7 +106,7 @@ val engine_of : system -> engine
 (** The engine this system's entry points dispatch to. *)
 
 val with_engine : engine -> system -> system
-(** The same rules (all three engines' structures are always compiled),
+(** The same rules (both engines' structures are always compiled),
     re-pinned to another engine. O(1). *)
 
 type strategy = Innermost | Outermost
@@ -179,12 +176,12 @@ val joinable :
     Entry points that dispatch to one fixed engine regardless of the
     system's own pin — what the differential harness quantifies over and
     the E18 benchmark compares. [Reference] is the oracle: the rewriting
-    algorithm as it was before the compiled rule index and hash-consed
+    algorithm as it was before compiled rule dispatch and hash-consed
     comparisons — a linear scan over every rule in priority order, with
     a matcher that binds and compares via deep structural equality and
     never consults term ids, precomputed hashes, or the intern table.
     Same strategies, same strict-error and lazy-ite semantics, same fuel
-    accounting on all three. *)
+    accounting on both. *)
 
 module Reference : sig
   val normalize :
@@ -196,36 +193,6 @@ module Reference : sig
     Term.t ->
     Term.t
   (** Raises {!Out_of_fuel}. *)
-
-  val normalize_opt :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t option
-
-  val normalize_count :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t * int
-end
-
-(** The two-level rule index (PR 5), pinned. *)
-module Index : sig
-  val normalize :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t
 
   val normalize_opt :
     ?strategy:strategy ->

@@ -18,13 +18,15 @@ type slot = { interp : Interp.t; lock : Mutex.t }
 (* One specification's slice of the persistent store: the normal forms
    and meta payloads loaded at boot (the warm start) plus everything this
    process computed since, buffered in [pending] until a flush writes the
-   whole entry back atomically. Keyed in memory by [Term.id] — hash-consed
-   terms make the probe a pointer hash — and on disk by the canonical
-   [Term.to_string] rendering, which survives process restarts. *)
+   whole entry back atomically. Keyed by the canonical [Term.to_string]
+   rendering, both in memory and on disk. Not by [Term.id]: the intern
+   table holds terms weakly, so a term parsed at load and then collected
+   would come back under a fresh id and every later probe would miss. *)
 type persist_state = {
   digest : string;  (* Spec_digest.spec — the on-disk entry this feeds *)
   plock : Mutex.t;
-  nf : (int, Term.t * int) Hashtbl.t;  (* term id -> normal form, cold steps *)
+  nf : (string, Term.t * int) Hashtbl.t;
+      (* rendered term -> normal form, cold steps *)
   meta : (string * string, string) Hashtbl.t;  (* (kind, key) -> payload *)
   mutable pending : Persist.Store.record list;  (* newest first *)
   mutable hits : int;
@@ -100,11 +102,11 @@ let load_persist store spec =
       if String.equal r.Persist.Store.kind "nf" then
         match Parser.parse_term spec r.Persist.Store.key with
         | Error _ -> incr parse_corrupt
-        | Ok term -> (
+        | Ok _ -> (
           match parse_nf_value spec r.Persist.Store.value with
           | None -> incr parse_corrupt
           | Some cached ->
-            Hashtbl.replace nf (Term.id term) cached;
+            Hashtbl.replace nf r.Persist.Store.key cached;
             incr loaded)
       else begin
         Hashtbl.replace meta
@@ -223,8 +225,9 @@ let persist_find entry term =
   match entry.persist with
   | None -> None
   | Some p ->
+    let key = Term.to_string term in
     Mutex.protect p.plock (fun () ->
-        match Hashtbl.find_opt p.nf (Term.id term) with
+        match Hashtbl.find_opt p.nf key with
         | Some (nf, steps) ->
           p.hits <- p.hits + 1;
           (* classify exactly as a fresh evaluation would *)
@@ -236,19 +239,18 @@ let persist_find entry term =
 let persist_record t entry term value steps =
   match (t.store, entry.persist, nf_record_value value steps) with
   | Some store, Some p, Some encoded ->
+    let key = Term.to_string term in
     Mutex.protect p.plock (fun () ->
-        if not (Hashtbl.mem p.nf (Term.id term)) then begin
+        if not (Hashtbl.mem p.nf key) then begin
           let nf =
             match value with
             | Interp.Value nf | Interp.Stuck nf -> nf
             | Interp.Error_value sort -> Term.err sort
             | Interp.Diverged -> assert false (* nf_record_value is None *)
           in
-          Hashtbl.replace p.nf (Term.id term) (nf, steps);
+          Hashtbl.replace p.nf key (nf, steps);
           p.pending <-
-            { Persist.Store.kind = "nf"; key = Term.to_string term;
-              value = encoded }
-            :: p.pending;
+            { Persist.Store.kind = "nf"; key; value = encoded } :: p.pending;
           if List.length p.pending >= pending_flush_threshold then
             flush_locked store p
         end)

@@ -1,10 +1,9 @@
 (* Differential testing of the rewrite engines.
 
-   All three matching engines must be observably identical on every term:
+   Both matching engines must be observably identical on every term:
 
    - [Rewrite.Reference] — naive linear rule scan, deep structural
-     equality (the pre-index oracle);
-   - [Rewrite.Index] — the two-level rule index over hash-consed terms;
+     equality (the oracle);
    - [Rewrite.Automaton] — rules compiled into a matching automaton
      ([Match_tree]), the default engine.
 
@@ -39,9 +38,6 @@ let engines =
     ( "reference",
       fun ~strategy ~fuel sys t ->
         Rewrite.Reference.normalize_count ~strategy ~fuel sys t );
-    ( "index",
-      fun ~strategy ~fuel sys t ->
-        Rewrite.Index.normalize_count ~strategy ~fuel sys t );
     ( "automaton",
       fun ~strategy ~fuel sys t ->
         Rewrite.Automaton.normalize_count ~strategy ~fuel sys t );
@@ -54,7 +50,7 @@ let catch_fuel f =
 
 (* the agreement relation the whole harness rests on: same normal form
    (both physically and — independently — structurally), same step count,
-   same error-ness, and fuel exhaustion on one engine iff on every
+   same error-ness, and fuel exhaustion on one engine iff on the
    other *)
 let agree sys strategy ~fuel t =
   let outcomes =
@@ -84,7 +80,8 @@ let agree sys strategy ~fuel t =
 let memo_agrees sys t =
   match
     catch_fuel (fun () ->
-        Rewrite.Index.normalize_count ~strategy:Rewrite.Innermost ~fuel sys t)
+        Rewrite.Reference.normalize_count ~strategy:Rewrite.Innermost ~fuel
+          sys t)
   with
   | None -> true
   | Some (nf, _) ->
@@ -95,19 +92,19 @@ let memo_agrees sys t =
         match Rewrite.normalize_memo ~fuel ~memo sys t with
         | nf' -> Term.equal nf nf'
         | exception Rewrite.Out_of_fuel _ -> false)
-      [ Rewrite.Reference; Rewrite.Index; Rewrite.Automaton ]
+      [ Rewrite.Reference; Rewrite.Automaton ]
 
 let diff_case spec =
   let ctx = Corpus_gen.ctx_of spec in
   let sys = Rewrite.of_spec spec in
   qcheck ~count:count_per_spec
-    (Fmt.str "reference = index = automaton on %s" (Spec.name spec))
+    (Fmt.str "reference = automaton on %s" (Spec.name spec))
     (Corpus_gen.term_gen ctx)
     (fun t ->
       agree sys Rewrite.Innermost ~fuel t
       && agree sys Rewrite.Outermost ~fuel t
-      (* a deliberately tight budget, so every engine routinely hits the
-         fuel wall and all must agree on exactly WHEN they hit it *)
+      (* a deliberately tight budget, so both engines routinely hit the
+         fuel wall and must agree on exactly WHEN they hit it *)
       && agree sys Rewrite.Innermost ~fuel:tight_fuel t
       && memo_agrees sys t)
 

@@ -3,7 +3,7 @@
    template instantiation — plus qcheck properties that automaton matches
    agree with the linear scan ([Subst.match_term] in declaration order)
    on random corpus terms, and that single [Rewrite.step]s (rule fired,
-   position, result) agree across all three engines. *)
+   position, result) agree across both engines. *)
 
 open Adt
 open Helpers
@@ -167,21 +167,16 @@ let match_agrees (sys, t) =
   in
   all_subterms t
 
-(* single steps agree across all three engines: same redex position, same
+(* single steps agree across both engines: same redex position, same
    rule name, same resulting term *)
 let step_agrees (sys, t) =
   let step engine = Rewrite.step (Rewrite.with_engine engine sys) t in
-  match
-    (step Rewrite.Reference, step Rewrite.Index, step Rewrite.Automaton)
-  with
-  | None, None, None -> true
-  | Some a, Some b, Some c ->
-    let same (x : Rewrite.event) (y : Rewrite.event) =
-      x.Rewrite.position = y.Rewrite.position
-      && String.equal x.Rewrite.rule_used y.Rewrite.rule_used
-      && Term.equal x.Rewrite.after y.Rewrite.after
-    in
-    same a b && same a c
+  match (step Rewrite.Reference, step Rewrite.Automaton) with
+  | None, None -> true
+  | Some (a : Rewrite.event), Some (b : Rewrite.event) ->
+    a.Rewrite.position = b.Rewrite.position
+    && String.equal a.Rewrite.rule_used b.Rewrite.rule_used
+    && Term.equal a.Rewrite.after b.Rewrite.after
   | _ -> false
 
 (* {1 The compile cache is engine-keyed} *)
@@ -195,16 +190,16 @@ let test_cache_engine_switch () =
     (fun () ->
       Rewrite.compile_cache_clear ();
       let key = "test-match-tree/engine-switch" in
-      Rewrite.set_default_engine Rewrite.Index;
-      let sys_index = Rewrite.of_spec_keyed ~key nat_spec in
+      Rewrite.set_default_engine Rewrite.Reference;
+      let sys_ref = Rewrite.of_spec_keyed ~key nat_spec in
       Rewrite.set_default_engine Rewrite.Automaton;
       let sys_auto = Rewrite.of_spec_keyed ~key nat_spec in
       let stats = Rewrite.compile_cache_stats () in
       Alcotest.(check int) "both compilations miss" 2 stats.Rewrite.misses;
       Alcotest.(check int) "no stale hit" 0 stats.Rewrite.hits;
       Alcotest.(check bool)
-        "index system kept its engine" true
-        (Rewrite.engine_of sys_index = Rewrite.Index);
+        "reference system kept its engine" true
+        (Rewrite.engine_of sys_ref = Rewrite.Reference);
       Alcotest.(check bool)
         "automaton system got the new engine" true
         (Rewrite.engine_of sys_auto = Rewrite.Automaton);
@@ -215,8 +210,14 @@ let test_cache_engine_switch () =
       Alcotest.(check bool) "same compiled system" true (sys_auto' == sys_auto);
       Alcotest.(check (list (pair string int)))
         "entries attributed per engine"
-        [ ("auto", 1); ("index", 1) ]
+        [ ("auto", 1); ("reference", 1) ]
         stats.Rewrite.by_engine)
+
+(* the retired two-level index engine is no longer a selectable name *)
+let test_engine_names () =
+  Alcotest.(check bool)
+    "index is not an engine" true
+    (Rewrite.engine_of_string "index" = None)
 
 let suite =
   [
@@ -227,6 +228,7 @@ let suite =
     case "rhs template instantiation" test_rhs_template;
     case "run_with reports the substitution" test_run_with_bindings;
     case "compile cache is engine-keyed" test_cache_engine_switch;
+    case "engine names" test_engine_names;
     qcheck ~count:300 "automaton match = linear scan (corpus)" pair_gen
       match_agrees;
     qcheck ~count:300 "step position/rule/result agree (corpus)" pair_gen

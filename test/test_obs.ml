@@ -281,12 +281,12 @@ let test_malformed_counter () =
 (* the memoized step count for FRONT(REMOVE(ADD(ADD(NEW, ITEM1), ITEM2)))
    is engine-specific: the automaton's fused memo loop re-derives
    sub-cutoff redexes (the second IS_EMPTY?(NEW)) instead of probing the
-   cache for them, so it charges 6 steps where the generic memo loop of
-   the oracle engines charges 5 (the tiny redex is a hit there) *)
+   cache for them, so it charges 6 steps where the memo loop of the
+   reference engine charges 5 (the tiny redex is a hit there) *)
 let memoized_steps () =
   match Adt.Rewrite.default_engine () with
   | Adt.Rewrite.Automaton -> 6
-  | Adt.Rewrite.Index | Adt.Rewrite.Reference -> 5
+  | Adt.Rewrite.Reference -> 5
 
 let test_prometheus_exposition () =
   let session = queue_session () in

@@ -292,6 +292,31 @@ let test_differential_cold_warm () =
     Alcotest.(check bool) "warm entries loaded" true (t.Session.loaded > 0));
   Persist.Store.close store2
 
+(* the intern table holds terms weakly: a stored term parsed at load and
+   collected before its first request must still hit once re-parsed *)
+let gc_request =
+  "normalize Queue FRONT(REMOVE(ADD(ADD(ADD(ADD(NEW, ITEM3), ITEM1), ITEM3), \
+   ITEM2)))"
+
+let record_gc_request dir =
+  let store = Persist.Store.open_ dir in
+  let cold = Session.create ~store [ Adt_specs.Queue_spec.spec ] in
+  ignore (reply cold gc_request);
+  Session.persist_flush cold;
+  Persist.Store.close store
+
+let test_warm_hit_survives_gc () =
+  with_dir @@ fun dir ->
+  record_gc_request dir;
+  let store = Persist.Store.open_ dir in
+  let warm = Session.create ~store [ Adt_specs.Queue_spec.spec ] in
+  Gc.full_major ();
+  ignore (reply warm gc_request);
+  (match Session.persist_totals warm with
+  | None -> Alcotest.fail "warm session has a store"
+  | Some t -> Alcotest.(check int) "hit after a major GC" 1 t.Session.hits);
+  Persist.Store.close store
+
 let edited_queue_source =
   {|spec Item
   sort Item
@@ -444,6 +469,8 @@ let suite =
       test_differential_cold_warm;
     Alcotest.test_case "differential: an edit never sees stale entries" `Quick
       test_differential_post_edit;
+    Alcotest.test_case "a warm entry hits after its loaded term is collected"
+      `Quick test_warm_hit_survives_gc;
     Alcotest.test_case "proved goals persist; unknown never does" `Quick
       test_proof_persists_warm;
     Alcotest.test_case "a lint pass-version bump invalidates cached verdicts"

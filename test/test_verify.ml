@@ -195,8 +195,8 @@ let test_corpus_verified () =
 (* {1 ADT002 and ADT022 cannot disagree (one shared analysis)} *)
 
 let faulty_sources () =
-  (* dune runtest runs from _build/default/test; a direct dune exec (the
-     CI index-engine pass) runs from the repo root *)
+  (* dune runtest runs from _build/default/test; a direct dune exec runs
+     from the repo root *)
   let base =
     Option.value ~default:"../specs"
       (List.find_opt Sys.file_exists [ "../specs"; "specs" ])
