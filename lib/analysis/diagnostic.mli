@@ -67,7 +67,7 @@ val rules : rule_info list
     - [ADT013 unreachable-sort] (error) — constructed sort with no ground term
     - [ADT014 non-strict-error] (warning) — axiom pattern-matches on [error]
     - [ADT020 sufficient-completeness] (error) — uncovered constructor
-      context decided by pattern-matrix usefulness
+      context decided by the pattern-matrix case tree
     - [ADT021 termination] (error) — axiom no searched recursive path
       ordering orients
     - [ADT022 confluence] (error) — confluence refuted or not established

@@ -5,9 +5,9 @@ type config = { only : string list option; fuel : int option }
 let default_config = { only = None; fuel = None }
 
 (* ADT001: adapt the heuristic prompting system. Each missing constructor
-   case becomes one finding; the suggestion is the forced right-hand side
-   when the heuristics found one, otherwise the [lhs = error] stub that
-   {!Heuristics.stub_axioms} would generate. *)
+   case of {!Completeness} becomes one finding; the suggestion is the
+   forced right-hand side when the heuristics found one, otherwise the
+   [lhs = error] stub that {!Heuristics.stub_axioms} would generate. *)
 let missing_cases spec =
   List.map
     (fun (p : Heuristics.prompt) ->
@@ -31,8 +31,10 @@ let missing_cases spec =
    bumping it invalidates every cached lint verdict produced by an older
    pass set (counted as store misses, never served stale). Bump on any
    change to the rule set or to a rule's semantics. Version 2 added the
-   verification passes ADT020-ADT022. *)
-let pass_version = 2
+   verification passes ADT020-ADT022; version 3 reads ADT001 and ADT020
+   off one case analysis (a non-executable axiom covers no case, and a
+   parameter operation with no axioms is not an ADT020 hole). *)
+let pass_version = 3
 
 let static_codes = [ "ADT010"; "ADT011"; "ADT012"; "ADT013"; "ADT014" ]
 let verify_codes = [ "ADT020"; "ADT021"; "ADT022" ]

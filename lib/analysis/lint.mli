@@ -5,8 +5,8 @@
     {!Adt.Heuristics.prompts} (sufficient completeness) and ADT002 wraps
     the critical-pair analysis — the ADT01x rules are purely syntactic
     passes over the axiom list, and the ADT02x rules are the {!Verify}
-    decision passes (pattern-matrix completeness, RPO termination,
-    critical-pair confluence). ADT002, ADT021 and ADT022 share one
+    decision passes (completeness read off the same {!Adt.Completeness}
+    cases as ADT001, RPO termination, critical-pair confluence). ADT002, ADT021 and ADT022 share one
     {!Verify.analyze} computation per run, so their verdicts can never
     disagree. [static] runs only the syntactic passes and [verify] only
     the decision passes; [adtc check] uses both alongside the completeness
@@ -41,9 +41,10 @@ val verify : Adt.Spec.t -> Diagnostic.t list
 
 val pass_version : int
 (** Version of the analysis pass set, baked into the engine's persisted
-    lint record kind: a cached lint verdict produced under a different
-    pass version is invalidated (a counted store miss) rather than served
-    stale. Bumped whenever the rule set or a rule's semantics changes. *)
+    lint and check record kinds: a cached verdict produced under a
+    different pass version is invalidated (a counted store miss) rather
+    than served stale. Bumped whenever the rule set or a rule's semantics
+    changes, including the completeness case analysis they share. *)
 
 val counts_by_rule : Diagnostic.t list -> (string * int) list
 (** Findings per rule code, every published code present (zero included),

@@ -5,19 +5,9 @@ open Adt
 type hole = { hole_op : Op.t; witness : Term.t; decided : bool }
 type completeness_report = { c_spec : string; holes : hole list }
 
-let lhs_args ax =
-  match Term.view (Axiom.lhs ax) with Term.App (_, args) -> args | _ -> []
-
-(* a row joins the matrix only when its patterns are constructor contexts:
-   an argument pattern headed by an observer, [error] or [if-then-else]
-   never matches a ground constructor term, so such an axiom contributes
-   nothing to coverage (ADT014 reports the error case separately) *)
-let admissible spec ax =
-  List.for_all (Spec.is_constructor_term spec) (lhs_args ax)
-
 (* brute-force confirmation used when non-left-linear axioms are in play:
-   a tuple of ground constructor arguments no executable left-hand side
-   matches at the root, if one exists within the size bound *)
+   a tuple of ground constructor arguments no left-hand side in
+   [patterns] matches at the root, if one exists within the size bound *)
 let ground_witness spec op patterns ~size =
   let u = Enum.universe spec in
   let arg_sorts = Op.args op in
@@ -44,30 +34,28 @@ let completeness spec =
   let holes =
     List.filter_map
       (fun op ->
-        let axs =
-          List.filter Axiom.is_executable (Spec.axioms_for op spec)
-          |> List.filter (admissible spec)
-        in
-        let linear, nonlinear = List.partition Axiom.is_left_linear axs in
-        let m =
-          Pattern_matrix.create spec ~sorts:(Op.args op)
-            ~rows:(List.map lhs_args linear)
-        in
-        match Pattern_matrix.uncovered m with
+        let r = Completeness.check_op spec op in
+        match
+          List.find_opt (fun c -> c.Completeness.covered_by = []) r.cases
+        with
         | None -> None
-        | Some args -> (
-          let candidate = Term.app op args in
-          if nonlinear = [] then
-            Some { hole_op = op; witness = candidate; decided = true }
-          else
-            (* the excluded non-left-linear rows may cover the candidate;
-               decide by ground enumeration over a small universe *)
+        | Some _ when r.unconstrained -> None
+        | Some c -> (
+          let candidate = Pattern_matrix.instantiate_wildcards spec c.pattern in
+          match Completeness.matrix_axioms spec op with
+          | _, [] -> Some { hole_op = op; witness = candidate; decided = true }
+          | rows, labelling -> (
+            (* the non-left-linear axioms may cover instances of the
+               candidate; decide by ground enumeration over a small
+               universe *)
             match
-              ground_witness spec op (List.map Axiom.lhs axs) ~size:4
+              ground_witness spec op
+                (List.map Axiom.lhs (rows @ labelling))
+                ~size:4
             with
             | Some w -> Some { hole_op = op; witness = w; decided = true }
             | None ->
-              Some { hole_op = op; witness = candidate; decided = false }))
+              Some { hole_op = op; witness = candidate; decided = false })))
       (Spec.observers spec)
   in
   { c_spec = Spec.name spec; holes }

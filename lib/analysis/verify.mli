@@ -5,14 +5,15 @@
     {!Adt.Heuristics} (section 3's engineering reading of the paper), these
     three passes {e decide} the properties the paper's method rests on:
 
-    - {b ADT020} — each observer's defining left-hand sides, read as a
-      pattern matrix over the observer's argument sorts, must be exhaustive
-      ({!Adt.Pattern_matrix}); the uncovered witness is a concrete ground
-      constructor context such as [FRONT(NEW)]. Non-left-linear axioms are
-      excluded from the matrix (it would over-approximate their coverage);
-      a candidate hole is then confirmed by ground enumeration over a small
-      universe, or demoted to an undecided warning when no ground
-      counterexample surfaces.
+    - {b ADT020} — each observer's case analysis ({!Adt.Completeness.check_op},
+      a {!Adt.Pattern_matrix} case tree over its executable defining
+      left-hand sides) must have no missing case; the first missing case,
+      instantiated, is the witness, a concrete ground constructor context
+      such as [FRONT(NEW)]. Unconstrained parameter operations (no
+      axioms, every argument of a sort without constructors) are skipped. Non-left-linear axioms are excluded from the matrix (it
+      would over-approximate their coverage); a candidate hole is then
+      confirmed by ground enumeration over a small universe, or demoted to
+      an undecided warning when no ground counterexample surfaces.
     - {b ADT021} — a recursive-path-ordering prover with greedy precedence
       search ({!Adt.Ordering.search}) orients every executable axiom or
       reports the non-orientable set.

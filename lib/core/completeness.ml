@@ -1,154 +1,93 @@
 type case = { pattern : Term.t; covered_by : string list }
 type op_report = { op : Op.t; cases : case list; unconstrained : bool }
-
-type report = {
-  spec_name : string;
-  op_reports : op_report list;
-  overlaps : (Term.t * string list) list;
-}
+type report = { spec_name : string; op_reports : op_report list }
 
 let axiom_label ax =
   if String.equal (Axiom.name ax) "" then Fmt.str "%a" Axiom.pp ax
   else Axiom.name ax
 
-(* Subsumption: the pattern is an instance of the axiom's left-hand side. *)
-let subsumers axioms pattern =
-  List.filter (fun ax -> Subst.matches ~pattern:(Axiom.lhs ax) pattern) axioms
+let lhs_args ax =
+  match Term.view (Axiom.lhs ax) with Term.App (_, args) -> args | _ -> []
 
-(* Find the leftmost-outermost position where [pattern] has a variable of a
-   sort with constructors and some axiom's left-hand side has a non-variable
-   term: the position where a case split makes progress. *)
-let split_position spec axioms pattern =
-  let rec zip pos p l =
-    match (Term.view p, Term.view l) with
-    | Term.Var (_, sort), (Term.App _ | Term.Err _) ->
-      if Spec.has_constructors sort spec then Some (pos, sort) else None
-    | Term.App (f, ps), Term.App (g, ls) when Op.equal f g ->
-      zip_children pos 0 ps ls
-    | _ -> None
-  and zip_children pos i ps ls =
-    match (ps, ls) with
-    | [], [] -> None
-    | p :: ps', l :: ls' -> (
-      match zip (pos @ [ i ]) p l with
-      | Some _ as hit -> hit
-      | None -> zip_children pos (i + 1) ps' ls')
-    | _ -> None
-  in
-  List.find_map (fun ax -> zip [] pattern (Axiom.lhs ax)) axioms
+(* the matrix rows: executable axioms whose argument patterns are
+   constructor contexts; an argument headed by an observer, [error] or
+   [if-then-else] never matches a constructor instance, and a
+   non-executable axiom never fires. Non-left-linear axioms stay out of the
+   matrix (it would over-approximate them) and only label the cases they
+   match. Axioms travel with their index in [axioms]. *)
+let partition spec axioms =
+  List.mapi (fun i ax -> (i, ax)) axioms
+  |> List.filter (fun (_, ax) ->
+         Axiom.is_executable ax
+         && List.for_all (Spec.is_constructor_term spec) (lhs_args ax))
+  |> List.partition (fun (_, ax) -> Axiom.is_left_linear ax)
 
-(* Replace the variable at [pos] in [pattern] by fresh-variable applications
-   of each constructor of its sort. *)
-let split_cases spec pattern pos sort =
-  let avoid = Term.vars pattern in
-  let expand op =
-    let taken = ref avoid in
-    let fresh arg_sort =
-      let base = String.lowercase_ascii (Sort.name arg_sort) in
-      let name = Term.fresh_wrt ~avoid:!taken base arg_sort in
-      taken := (name, arg_sort) :: !taken;
-      Term.var name arg_sort
-    in
-    Term.app op (List.map fresh (Op.args op))
-  in
-  List.filter_map
-    (fun op -> Term.replace_at pattern pos (expand op))
-    (Spec.constructors_of_sort sort spec)
-
-(* With no axioms to guide the split, still expand the first
-   constructor-bearing argument one level, so the report lists the
-   constructor cases a complete axiomatisation must cover (the shape the
-   paper's prompting system presents to the user). *)
-let unguided_split spec pattern =
-  let rec find i = function
-    | [] -> None
-    | arg :: rest -> (
-      match Term.view arg with
-      | Term.Var (_, sort) when Spec.has_constructors sort spec ->
-        Some ([ i ], sort)
-      | _ -> find (i + 1) rest)
-  in
-  match Term.view pattern with
-  | Term.App (_, args) -> find 0 args
-  | _ -> None
+let matrix_axioms spec op =
+  let rows, labelling = partition spec (Spec.axioms_for op spec) in
+  (List.map snd rows, List.map snd labelling)
 
 let check_op spec op =
   let axioms = Spec.axioms_for op spec in
+  let sorts = Op.args op in
   let general =
-    Term.app op
-      (List.mapi
-         (fun i sort ->
-           Term.var
-             (Fmt.str "%s%d" (String.lowercase_ascii (Sort.name sort)) (i + 1))
-             sort)
-         (Op.args op))
+    List.mapi
+      (fun i sort ->
+        Term.var
+          (Fmt.str "%s%d" (String.lowercase_ascii (Sort.name sort)) (i + 1))
+          sort)
+      sorts
   in
-  let rec analyse ~unguided pattern =
-    match subsumers axioms pattern with
-    | _ :: _ as covering ->
-      [ { pattern; covered_by = List.map axiom_label covering } ]
-    | [] -> (
-      match split_position spec axioms pattern with
-      | Some (pos, sort) ->
-        List.concat_map (analyse ~unguided) (split_cases spec pattern pos sort)
-      | None -> (
-        match if unguided > 0 then unguided_split spec pattern else None with
-        | Some (pos, sort) ->
-          List.concat_map
-            (analyse ~unguided:(unguided - 1))
-            (split_cases spec pattern pos sort)
-        | None -> [ { pattern; covered_by = [] } ]))
-  in
-  let cases = analyse ~unguided:(if axioms = [] then 1 else 0) general in
-  let unconstrained =
-    axioms = []
-    && not
-         (List.exists (fun s -> Spec.has_constructors s spec) (Op.args op))
-  in
-  { op; cases; unconstrained }
-
-(* Two axioms of the same operation whose left-hand sides unify define the
-   common instance twice — a consistency hazard surfaced here and settled by
-   the critical-pair analysis of {!Consistency}. *)
-let axiom_overlaps spec =
-  let axioms = Spec.axioms spec in
-  let rec pairs acc = function
-    | [] -> List.rev acc
-    | ax :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc other ->
-            if not (Op.equal (Axiom.head ax) (Axiom.head other)) then acc
-            else
-              (* primes are legal in identifiers: extend the suffix until
-                 the renamed variables are disjoint from [ax]'s *)
-              let ax_names = List.map fst (Axiom.vars ax) in
-              let clashes suffix =
-                List.exists
-                  (fun (x, _) -> List.mem (x ^ suffix) ax_names)
-                  (Axiom.vars other)
-              in
-              let rec fresh suffix =
-                if clashes suffix then fresh (suffix ^ "'") else suffix
-              in
-              let other' = Axiom.freshen ~suffix:(fresh "'") other in
-              match Subst.unify (Axiom.lhs ax) (Axiom.lhs other') with
-              | Some mgu ->
-                ( Subst.apply mgu (Axiom.lhs ax),
-                  [ axiom_label ax; axiom_label other ] )
-                :: acc
-              | None -> acc)
-          acc rest
+  let missing args = { pattern = Term.app op args; covered_by = [] } in
+  let split_at = List.find_index (fun s -> Spec.has_constructors s spec) sorts in
+  let cases =
+    match (axioms, split_at) with
+    | [], None -> [ missing general ]
+    | [], Some k ->
+      (* an operation with no axioms still gets its first
+         constructor-bearing argument split one level, so the report lists
+         the constructor cases a complete axiomatisation must cover (the
+         shape the paper's prompting system presents) *)
+      let avoid = List.fold_left (fun acc t -> Term.var_set t acc) [] general in
+      List.map
+        (fun c ->
+          let split = Pattern_matrix.expand ~avoid c in
+          missing (List.mapi (fun i t -> if i = k then split else t) general))
+        (Spec.constructors_of_sort (List.nth sorts k) spec)
+    | _ ->
+      let rows, labelling = partition spec axioms in
+      let m =
+        Pattern_matrix.create spec ~sorts
+          ~rows:(List.map (fun (_, ax) -> lhs_args ax) rows)
       in
-      pairs acc rest
+      let row_axiom = Array.of_list (List.map fst rows) in
+      let labels = Array.of_list (List.map axiom_label axioms) in
+      List.map
+        (fun (args, ix) ->
+          let pattern = Term.app op args in
+          let by_match =
+            List.filter_map
+              (fun (i, ax) ->
+                if Subst.matches ~pattern:(Axiom.lhs ax) pattern then Some i
+                else None)
+              labelling
+          in
+          {
+            pattern;
+            covered_by =
+              List.map (Array.get labels)
+                (List.sort_uniq Int.compare
+                   (List.map (Array.get row_axiom) ix @ by_match));
+          })
+        (Pattern_matrix.cases m general)
   in
-  pairs [] axioms
+  (* a parameter operation: every argument is of a sort without
+     constructors, so no ground instance exists to cover *)
+  { op; cases; unconstrained = axioms = [] && sorts <> [] && split_at = None }
 
 let check spec =
   {
     spec_name = Spec.name spec;
     op_reports = List.map (check_op spec) (Spec.observers spec);
-    overlaps = axiom_overlaps spec;
   }
 
 let is_complete report =
@@ -166,17 +105,6 @@ let missing report =
           (fun c -> if c.covered_by = [] then Some c.pattern else None)
           r.cases)
     report.op_reports
-
-let overlapping report =
-  report.overlaps
-  @ List.concat_map
-      (fun r ->
-        List.filter_map
-          (fun c ->
-            if List.length c.covered_by > 1 then Some (c.pattern, c.covered_by)
-            else None)
-          r.cases)
-      report.op_reports
 
 let pp_case ppf c =
   match c.covered_by with
@@ -199,15 +127,4 @@ let pp_report ppf report =
   let verdict = if is_complete report then "sufficiently complete" else "NOT sufficiently complete" in
   Fmt.pf ppf "@[<v>spec %s is %s@,%a@]" report.spec_name verdict
     Fmt.(list ~sep:cut pp_op_report)
-    report.op_reports;
-  match report.overlaps with
-  | [] -> ()
-  | overlaps ->
-    let pp_overlap ppf (t, labels) =
-      Fmt.pf ppf "@[<h>%a defined by both %a@]" Term.pp t
-        Fmt.(list ~sep:(any " and ") string)
-        labels
-    in
-    Fmt.pf ppf "@,@[<v 2>WARNING: overlapping axioms:@,%a@]"
-      Fmt.(list ~sep:cut pp_overlap)
-      overlaps
+    report.op_reports

@@ -29,49 +29,10 @@ let classify spec pattern =
      boundary condition — only constant-constructor cases like FRONT(NEW) *)
   if !has_ctor && constant_ctors_only then Boundary else General
 
-let first_split_position spec op =
-  let rec find i = function
-    | [] -> None
-    | sort :: rest ->
-      if Spec.has_constructors sort spec then Some i else find (i + 1) rest
-  in
-  find 0 (Op.args op)
-
 let skeletons spec op =
-  let report = Completeness.check_op spec op in
-  let from_analysis = List.map (fun c -> c.Completeness.pattern) report.cases in
-  let all_var_app t =
-    match Term.view t with
-    | Term.App (_, args) ->
-      List.for_all
-        (fun a -> match Term.view a with Term.Var _ -> true | _ -> false)
-        args
-    | _ -> false
-  in
-  match from_analysis with
-  | [ only ] when all_var_app only -> (
-    (* no axiom discriminates yet: propose one split of the first
-       constructor-bearing argument *)
-    match first_split_position spec op with
-    | None -> [ only ]
-    | Some i ->
-      let sort = List.nth (Op.args op) i in
-      let avoid = Term.vars only in
-      List.map
-        (fun ctor ->
-          let taken = ref avoid in
-          let fresh s =
-            let base = String.lowercase_ascii (Sort.name s) in
-            let name = Term.fresh_wrt ~avoid:!taken base s in
-            taken := (name, s) :: !taken;
-            Term.var name s
-          in
-          let expansion = Term.app ctor (List.map fresh (Op.args ctor)) in
-          match Term.replace_at only [ i ] expansion with
-          | Some t -> t
-          | None -> only)
-        (Spec.constructors_of_sort sort spec))
-  | cases -> cases
+  List.map
+    (fun c -> c.Completeness.pattern)
+    (Completeness.check_op spec op).cases
 
 let forced_rhs spec pattern =
   (* When the result sort has exactly one constant constructor and no other

@@ -34,10 +34,9 @@ type prompt = {
 
 val skeletons : Spec.t -> Op.t -> Term.t list
 (** The constructor case patterns a sufficiently complete axiomatisation of
-    the operation must cover (one split of every constructor-bearing
-    argument position that the existing axioms, if any, discriminate on; for
-    an operation with no axioms yet, one split of the first
-    constructor-bearing argument). *)
+    the operation must cover: the cases of {!Completeness.check_op}, split
+    wherever the existing axioms discriminate (for an operation with no
+    axioms yet, one split of the first constructor-bearing argument). *)
 
 val prompts : Spec.t -> prompt list
 (** Prompts for every missing case of every observer, boundary cases

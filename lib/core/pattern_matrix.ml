@@ -11,9 +11,6 @@ let create spec ~sorts ~rows =
     rows;
   { spec; sorts; rows }
 
-let rows m = m.rows
-let sorts m = m.sorts
-
 (* the head of a pattern, when it is a constructor application of the
    matrix's specification; anything else (wildcard, observer application,
    error, if-then-else) answers None *)
@@ -24,7 +21,6 @@ let ctor_head spec p =
 
 let is_wild p = match Term.view p with Term.Var _ -> true | _ -> false
 let wild s = Term.var (String.lowercase_ascii (Sort.name s)) s
-let wilds op = List.map wild (Op.args op)
 
 let rec take n = function
   | rest when n = 0 -> ([], rest)
@@ -33,118 +29,75 @@ let rec take n = function
     let xs, rest = take (n - 1) rest in
     (x :: xs, rest)
 
-(* S(c, P): rows whose first column is compatible with constructor [c],
-   the column replaced by c's argument columns *)
+(* S(c, P) over indexed rows: rows whose first column is compatible with
+   constructor [c], the column replaced by c's argument columns *)
 let specialize spec c rows =
   List.filter_map
-    (fun row ->
+    (fun (i, row) ->
       match row with
       | [] -> None
       | p :: rest -> (
         match ctor_head spec p with
-        | Some (op, args) when Op.equal op c -> Some (args @ rest)
+        | Some (op, args) when Op.equal op c -> Some (i, args @ rest)
         | Some _ -> None
-        | None -> if is_wild p then Some (wilds c @ rest) else None))
+        | None ->
+          if is_wild p then Some (i, List.map wild (Op.args c) @ rest)
+          else None))
     rows
 
-(* D(P): rows whose first column is a wildcard, the column dropped *)
-let default rows =
-  List.filter_map
-    (fun row ->
-      match row with
-      | [] -> None
-      | p :: rest -> if is_wild p then Some rest else None)
-    rows
+let expand ~avoid c =
+  let taken = ref avoid in
+  let fresh s =
+    let base = String.lowercase_ascii (Sort.name s) in
+    let name = Term.fresh_wrt ~avoid:!taken base s in
+    taken := (name, s) :: !taken;
+    Term.var name s
+  in
+  Term.app c (List.map fresh (Op.args c))
 
-let first_column_heads spec rows =
-  List.filter_map
-    (fun row ->
-      match row with
-      | [] -> None
-      | p :: _ -> Option.map fst (ctor_head spec p))
-    rows
-
-(* the column's constructors all appear as heads of its rows — the
-   "complete signature" test. A sort with no declared constructors (a
-   parameter sort) is never complete: it behaves as an infinite
-   signature. *)
-let heads_complete spec s rows =
-  match Spec.constructors_of_sort s spec with
-  | [] -> None
-  | ctors ->
-    let heads = first_column_heads spec rows in
-    if List.for_all (fun c -> List.exists (Op.equal c) heads) ctors then
-      Some ctors
-    else None
-
-(* U(P, q): Maranget's usefulness recursion. Patterns that are neither
-   wildcards nor constructor applications are treated as wildcards on the
-   query side (over-approximation, documented in the interface). *)
-let rec useful_rec spec srts rws q =
-  match (srts, q) with
-  | [], [] -> rws = []
-  | [], _ | _, [] -> invalid_arg "Pattern_matrix.useful: width mismatch"
-  | s :: srts', q1 :: q' -> (
-    match ctor_head spec q1 with
-    | Some (c, args) ->
-      useful_rec spec
-        (Op.args c @ srts')
-        (specialize spec c rws)
-        (args @ q')
-    | None -> (
-      match heads_complete spec s rws with
-      | Some ctors ->
-        List.exists
-          (fun c ->
-            useful_rec spec
-              (Op.args c @ srts')
-              (specialize spec c rws)
-              (wilds c @ q'))
-          ctors
-      | None -> useful_rec spec srts' (default rws) q'))
-
-let useful m q =
-  if List.length q <> List.length m.sorts then
-    invalid_arg "Pattern_matrix.useful: width mismatch";
-  useful_rec m.spec m.sorts m.rows q
-
-let rec first_some f = function
-  | [] -> None
-  | x :: rest -> ( match f x with Some _ as r -> r | None -> first_some f rest)
-
-(* the witness-producing variant of U(P, wildcards): rebuild the uncovered
-   vector on the way out of the recursion. Constrained columns carry the
-   constructor the recursion descended through (or the one missing from
-   the row heads); unconstrained columns come back as wildcards. *)
-let rec witness_rec spec srts rws =
-  match srts with
-  | [] -> if rws = [] then Some [] else None
-  | s :: srts' -> (
-    match heads_complete spec s rws with
-    | Some ctors ->
-      first_some
+(* [go avoid rows q]: [rows] are the (index, remaining patterns) rows that
+   match every instance of the query columns consumed so far, [avoid] the
+   variables of the whole query vector. A variable column some row
+   constrains is split into every constructor of its sort; a constructor
+   column specializes the rows; any other column keeps the rows whose
+   pattern there is a wildcard. *)
+let rec go spec avoid rows q =
+  match q with
+  | [] -> [ ([], List.map fst rows) ]
+  | q1 :: q' -> (
+    match Term.view q1 with
+    | Term.App (c, args) when Spec.is_constructor c spec ->
+      List.map
+        (fun (w, ix) ->
+          let args, rest = take (List.length args) w in
+          (Term.app c args :: rest, ix))
+        (go spec avoid (specialize spec c rows) (args @ q'))
+    | Term.Var (x, s)
+      when List.exists
+             (fun (_, row) -> ctor_head spec (List.hd row) <> None)
+             rows ->
+      let avoid' = List.filter (fun (y, _) -> not (String.equal x y)) avoid in
+      List.concat_map
         (fun c ->
-          match witness_rec spec (Op.args c @ srts') (specialize spec c rws) with
-          | None -> None
-          | Some w ->
-            let args, rest = take (Op.arity c) w in
-            Some (Term.app c args :: rest))
-        ctors
-    | None -> (
-      match witness_rec spec srts' (default rws) with
-      | None -> None
-      | Some w ->
-        let heads = first_column_heads spec rws in
-        let head =
-          match
-            List.filter
-              (fun c -> not (List.exists (Op.equal c) heads))
-              (Spec.constructors_of_sort s spec)
-          with
-          | c :: _ -> Term.app c (wilds c)
-          | [] -> wild s
-        in
-        Some (head :: w)))
+          let split = expand ~avoid c in
+          go spec (Term.var_set split avoid') rows (split :: q'))
+        (Spec.constructors_of_sort s spec)
+    | _ ->
+      let kept =
+        List.filter_map
+          (fun (i, row) ->
+            match row with
+            | p :: rest when is_wild p -> Some (i, rest)
+            | _ -> None)
+          rows
+      in
+      List.map (fun (w, ix) -> (q1 :: w, ix)) (go spec avoid kept q'))
+
+let cases m q =
+  if List.length q <> List.length m.sorts then
+    invalid_arg "Pattern_matrix.cases: width mismatch";
+  let avoid = List.fold_left (fun acc t -> Term.var_set t acc) [] q in
+  go m.spec avoid (List.mapi (fun i row -> (i, row)) m.rows) q
 
 let instantiate_wildcards spec t =
   (* prefer a constant constructor so witnesses stay small; bound the
@@ -174,10 +127,3 @@ let instantiate_wildcards spec t =
   Term.map_vars
     (fun x s -> match fill 6 s with Some t -> t | None -> Term.var x s)
     t
-
-let uncovered m =
-  match witness_rec m.spec m.sorts m.rows with
-  | None -> None
-  | Some w -> Some (List.map (fun t -> instantiate_wildcards m.spec t) w)
-
-let exhaustive m = Option.is_none (witness_rec m.spec m.sorts m.rows)

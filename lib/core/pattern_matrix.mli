@@ -1,39 +1,32 @@
-(** Maranget-style pattern matrices: usefulness and exhaustiveness over
+(** Maranget-style pattern matrices: case analysis and exhaustiveness over
     constructor patterns.
 
     A {e pattern} here is a term whose applications are constructor
     applications and whose variables are wildcards; a {e row} is one
-    pattern per column. The two classic questions over a matrix [P]:
+    pattern per column. The one question asked of a matrix [P] is its
+    case tree under a query vector [q]: split [q] column by column,
+    specializing [P] by each constructor a column's sort declares wherever
+    some row discriminates there (Maranget, {e Warnings for pattern
+    matching}, JFP 2007). Each leaf of the tree lists the rows that match
+    every instance of it; a leaf no row matches is a missing case, and the
+    matrix is exhaustive when the all-wildcard query has none.
 
-    - {e usefulness} — is there a vector of ground constructor terms that
-      matches a query row [q] but no row of [P]? ("would adding [q] below
-      [P] ever fire?")
-    - {e exhaustiveness} — is the all-wildcard query useless, i.e. does
-      every vector of ground constructor terms match some row?
-
-    Both reduce to the same recursion on the first column: specialize the
-    matrix by each constructor the column's sort declares, or drop to the
-    default matrix when the column's head constructors do not span the
-    signature (Maranget, {e Warnings for pattern matching}, JFP 2007).
-
-    The sufficient-completeness verifier (ADT020 in [lib/analysis]) asks
-    exhaustiveness of each observer's defining left-hand sides and reports
-    the witness; the ROADMAP's decision-tree rule compiler asks usefulness
-    to prune unreachable rules. Both share this module.
+    The sufficient-completeness report ({!Completeness}, which ADT020 and
+    the prompting system {!Heuristics} read) asks for the case tree of each
+    observer's defining left-hand sides.
 
     Caveats, enforced by construction rather than checks:
 
     - Rows must be {e left-linear}: a repeated variable is treated as a
       plain wildcard, which over-approximates what the row matches.
-      Callers that admit non-linear rows must compensate (the verifier
-      excludes them and re-checks witnesses by ground enumeration).
+      Callers that admit non-linear rows must compensate ({!Completeness}
+      excludes them from the matrix and labels the cases they match).
     - Patterns whose head is not a constructor of the matrix's
       specification — an observer application, [error], [if-then-else] —
-      never match a ground constructor vector and simply never specialize:
-      such rows contribute nothing to coverage.
+      never match a ground constructor vector and never specialize: such
+      rows contribute nothing to coverage.
     - A sort with no declared constructors (a parameter sort such as
-      [Item]) behaves as an infinite signature: no head set spans it, so
-      only wildcard rows cover it. *)
+      [Item]) is never split: only wildcard rows cover it. *)
 
 type t
 (** A matrix: column sorts plus rows, against a fixed specification. *)
@@ -42,28 +35,23 @@ val create : Spec.t -> sorts:Sort.t list -> rows:Term.t list list -> t
 (** Raises [Invalid_argument] when a row's width differs from the number
     of column sorts. *)
 
-val rows : t -> Term.t list list
-val sorts : t -> Sort.t list
+val cases : t -> Term.t list -> (Term.t list * int list) list
+(** [cases m q] splits the query vector [q] column by column and returns
+    the leaves in order. A variable column that some row still compatible
+    with the leaf constrains with a constructor is replaced by each
+    constructor of its sort, applied to fresh variables named after the
+    lowercased argument sorts (fresh with respect to the whole vector);
+    any other column is kept. Each leaf carries the indices of the rows
+    matching every instance of it, in row order; an empty list is a
+    missing case. Raises [Invalid_argument] on a width mismatch. *)
 
-val useful : t -> Term.t list -> bool
-(** [useful m q] — some ground constructor instance of [q] (wildcards
-    free) is matched by no row of [m]. Raises [Invalid_argument] on a
-    width mismatch. *)
-
-val exhaustive : t -> bool
-(** Every vector of ground constructor terms over the column sorts matches
-    some row: [not (useful m all-wildcards)]. *)
-
-val uncovered : t -> Term.t list option
-(** [None] when the matrix is exhaustive; otherwise a witness vector no
-    row matches. Constrained positions carry the missing constructor;
-    unconstrained positions are instantiated through
-    {!instantiate_wildcards} (first constructor of the sort, recursively,
-    or a fresh variable for parameter sorts), so the witness is a concrete
-    constructor context like [FRONT(NEW)] rather than [FRONT(_)]. *)
+val expand : avoid:(string * Sort.t) list -> Op.t -> Term.t
+(** [expand ~avoid c] is [c] applied to variables named after its
+    lowercased argument sorts, fresh with respect to [avoid] and to each
+    other: the shape {!cases} gives a split column. *)
 
 val instantiate_wildcards : Spec.t -> Term.t -> Term.t
 (** Replaces each variable of a sort with declared constructors by that
-    sort's first constructor, recursively (depth-bounded; positions the
-    bound leaves unfilled stay variables). Variables of parameter sorts
-    are kept. *)
+    sort's first constant constructor (or first constructor),
+    recursively (depth-bounded; positions the bound leaves unfilled stay
+    variables). Variables of parameter sorts are kept. *)

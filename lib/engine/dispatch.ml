@@ -61,11 +61,15 @@ let do_normalize ctx session entry term_src req_fuel poll =
       ok "normalize steps=%d %s" steps
         (Protocol.sanitize (Fmt.str "%a" Interp.pp_value value)))
 
+(* the completeness report behind [check] is the case analysis ADT001 and
+   ADT020 read, so its persisted verdicts carry the same pass version *)
+let check_kind = Fmt.str "check/p%d" Analysis.Lint.pass_version
+
 let do_check ctx session entry =
   Obs.Trace.with_span ctx.trace "rewrite" @@ fun () ->
   let spec = Session.entry_spec entry in
   let name = Spec.name spec in
-  match Session.persist_meta_find entry ~kind:"check" ~key:name with
+  match Session.persist_meta_find entry ~kind:check_kind ~key:name with
   | Some payload -> Protocol.Ok_response payload
   | None ->
     let comp = Completeness.check spec in
@@ -78,7 +82,8 @@ let do_check ctx session entry =
         (List.length (Completeness.missing comp))
         (List.length cons.Consistency.pairs)
     in
-    Session.persist_meta_record session entry ~kind:"check" ~key:name payload;
+    Session.persist_meta_record session entry ~kind:check_kind ~key:name
+      payload;
     Protocol.Ok_response payload
 
 let do_skeletons ctx entry =

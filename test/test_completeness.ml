@@ -111,12 +111,44 @@ let test_unconstrained_parameter_op () =
   Alcotest.(check bool) "flagged unconstrained" true
     op_report.Completeness.unconstrained
 
+let test_constant_without_axioms () =
+  (* a constant has one ground instance; with no axiom it has no value *)
+  let sg =
+    Signature.add_op
+      (Op.v "origin" ~args:[] ~result:Sort.bool)
+      Signature.empty
+  in
+  let spec = Spec.v ~name:"P" ~signature:sg ~axioms:[] () in
+  let report = Completeness.check spec in
+  Alcotest.(check bool) "not complete" false (Completeness.is_complete report);
+  Alcotest.(check (list string)) "origin is missing" [ "origin" ]
+    (List.map Term.to_string (Completeness.missing report))
+
 let test_overlap_detection () =
+  (* a general isz axiom beside the two constructor cases: both cases are
+     covered twice *)
   let extra = Axiom.v ~name:"dup" ~lhs:(isz (v "k")) ~rhs:Term.ff () in
   let spec = Spec.with_axioms [ extra ] nat_spec in
-  let report = Completeness.check spec in
-  Alcotest.(check bool) "overlaps reported" true
-    (Completeness.overlapping report <> [])
+  let report = Completeness.check_op spec isz_op in
+  Alcotest.(check (list (list string)))
+    "each case names both axioms"
+    [ [ "iz"; "dup" ]; [ "is"; "dup" ] ]
+    (List.map (fun c -> c.Completeness.covered_by) report.Completeness.cases)
+
+let test_non_executable_covers_nothing () =
+  (* specs/faulty/free_rhs.adt: [seed] SEED = INC(c) cannot fire (ADT011),
+     so SEED is a missing case, as ADT020 reports *)
+  match
+    Parser.parse_specs ~env:(Library.to_env Library.builtin)
+      Test_analysis.free_rhs_src
+  with
+  | Error e -> Alcotest.failf "parse: %a" Parser.pp_error e
+  | Ok specs ->
+    let report = Completeness.check (List.hd (List.rev specs)) in
+    Alcotest.(check bool) "not complete" false
+      (Completeness.is_complete report);
+    Alcotest.(check (list string)) "SEED is missing" [ "SEED" ]
+      (List.map Term.to_string (Completeness.missing report))
 
 let test_report_rendering () =
   let text = Fmt.str "%a" Completeness.pp_report (Completeness.check nat_spec) in
@@ -138,6 +170,9 @@ let suite =
     case "general left-hand sides cover all cases" test_general_lhs_covers_everything;
     case "parameter operations are unconstrained, not incomplete"
       test_unconstrained_parameter_op;
+    case "a constant with no axioms is missing" test_constant_without_axioms;
     case "overlapping axioms reported" test_overlap_detection;
+    case "a non-executable axiom covers nothing"
+      test_non_executable_covers_nothing;
     case "report rendering" test_report_rendering;
   ]

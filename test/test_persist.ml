@@ -449,6 +449,24 @@ let test_lint_pass_version_invalidates () =
   | Some t -> Alcotest.(check int) "warm hit" 1 t.Session.hits);
   Persist.Store.close store3
 
+let test_check_verdict_versioned () =
+  with_dir @@ fun dir ->
+  let spec = Adt_specs.Queue_spec.spec in
+  let digest = Spec_digest.spec spec in
+  (* builds before the pass version reached [check] persisted its verdicts
+     under the bare kind "check"; they must be re-analysed, not replayed *)
+  let store1 = Persist.Store.open_ dir in
+  Persist.Store.append store1 ~digest
+    [ record "check" "Queue" "check Queue complete=false missing=9" ];
+  Persist.Store.close store1;
+  let store2 = Persist.Store.open_ dir in
+  let session = Session.create ~store:store2 [ spec ] in
+  let r = reply session "check Queue" in
+  Alcotest.(check bool) "stale verdict not served" false
+    (contains r "missing=9");
+  Alcotest.(check bool) "re-analysed" true (contains r "complete=true");
+  Persist.Store.close store2
+
 let suite =
   [
     Alcotest.test_case "entry round trip" `Quick test_roundtrip;
@@ -475,4 +493,6 @@ let suite =
       test_proof_persists_warm;
     Alcotest.test_case "a lint pass-version bump invalidates cached verdicts"
       `Quick test_lint_pass_version_invalidates;
+    Alcotest.test_case "check verdicts carry the pass version" `Quick
+      test_check_verdict_versioned;
   ]

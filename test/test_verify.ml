@@ -21,37 +21,51 @@ let parse src =
 
 let nat_matrix rows = Pattern_matrix.create nat_spec ~sorts:[ nat ] ~rows
 
+(* the leaves of the case tree no row matches *)
+let missing m q =
+  List.filter_map
+    (fun (w, rows) -> if rows = [] then Some w else None)
+    (Pattern_matrix.cases m q)
+
 let test_matrix_exhaustive () =
   let m = nat_matrix [ [ z ]; [ s (v "m") ] ] in
-  Alcotest.(check bool) "z | s m is exhaustive" true
-    (Pattern_matrix.exhaustive m);
-  Alcotest.(check bool) "no witness" true (Pattern_matrix.uncovered m = None);
+  Alcotest.(check int) "z | s m is exhaustive" 0
+    (List.length (missing m [ v "q" ]));
   let wild = nat_matrix [ [ v "n" ] ] in
-  Alcotest.(check bool) "a wildcard row is exhaustive" true
-    (Pattern_matrix.exhaustive wild)
+  Alcotest.(check int) "a wildcard row is exhaustive" 0
+    (List.length (missing wild [ v "q" ]))
 
 let test_matrix_uncovered_witness () =
-  let m = nat_matrix [ [ z ] ] in
-  (match Pattern_matrix.uncovered m with
-  | Some [ w ] ->
-    (* the missing constructor, wildcards filled with ground constants *)
-    check_term "witness is s(z)" (s z) w
-  | other ->
-    Alcotest.failf "expected one witness, got %s"
-      (match other with None -> "none" | Some l -> Fmt.str "%d" (List.length l)))
-  ;
-  let deep = nat_matrix [ [ z ]; [ s z ] ] in
-  match Pattern_matrix.uncovered deep with
-  | Some [ w ] -> check_term "nested witness s(s(z))" (s (s z)) w
-  | _ -> Alcotest.fail "z | s z leaves s(s(_)) uncovered"
+  let witness m =
+    match missing m [ v "q" ] with
+    | [ w ] :: _ -> Pattern_matrix.instantiate_wildcards nat_spec w
+    | _ -> Alcotest.fail "expected a missing one-column leaf"
+  in
+  (* the missing constructor, variables filled with ground constants *)
+  check_term "witness is s(z)" (s z) (witness (nat_matrix [ [ z ] ]));
+  check_term "nested witness s(s(z))" (s (s z))
+    (witness (nat_matrix [ [ z ]; [ s z ] ]))
 
-let test_matrix_usefulness () =
-  let m = nat_matrix [ [ z ] ] in
-  Alcotest.(check bool) "s-pattern useful after z row" true
-    (Pattern_matrix.useful m [ s (v "m") ]);
-  let full = nat_matrix [ [ z ]; [ s (v "m") ] ] in
-  Alcotest.(check bool) "nothing useful after a complete matrix" false
-    (Pattern_matrix.useful full [ v "q" ])
+let test_matrix_cases () =
+  (* z | s(z) | k under the query q: q splits into z and s(n), the
+     successor's argument splits again, and each leaf lists the rows
+     matching every instance of it *)
+  let m = nat_matrix [ [ z ]; [ s z ]; [ v "k" ] ] in
+  Alcotest.(check (list (pair string (list int))))
+    "leaves with their rows"
+    [ ("z", [ 0; 2 ]); ("s(z)", [ 1; 2 ]); ("s(s(n1))", [ 2 ]) ]
+    (List.map
+       (fun (w, rows) -> (String.concat ", " (List.map Term.to_string w), rows))
+       (Pattern_matrix.cases m [ v "q" ]));
+  (* a missing case keeps its fresh variables, and a constrained query
+     is only split below its constructor *)
+  let partial = nat_matrix [ [ s z ] ] in
+  Alcotest.(check (list (pair string (list int))))
+    "missing leaves"
+    [ ("s(z)", [ 0 ]); ("s(s(n))", []) ]
+    (List.map
+       (fun (w, rows) -> (String.concat ", " (List.map Term.to_string w), rows))
+       (Pattern_matrix.cases partial [ s (v "q") ]))
 
 let test_matrix_parameter_sort () =
   (* a sort with no constructors has an infinite signature: only a
@@ -60,19 +74,18 @@ let test_matrix_parameter_sort () =
   let p = Sort.v "P" in
   let sg = Signature.add_sort p Signature.empty in
   let spec = Spec.v ~name:"P" ~signature:sg ~constructors:[] ~axioms:[] () in
+  let x = Term.var "x" p in
   let empty = Pattern_matrix.create spec ~sorts:[ p ] ~rows:[] in
-  Alcotest.(check bool) "empty matrix is not exhaustive" false
-    (Pattern_matrix.exhaustive empty);
-  (match Pattern_matrix.uncovered empty with
-  | Some [ w ] ->
-    Alcotest.(check bool) "witness is a variable" true
-      (match Term.view w with Term.Var _ -> true | _ -> false)
-  | _ -> Alcotest.fail "expected a variable witness");
-  let wild =
-    Pattern_matrix.create spec ~sorts:[ p ] ~rows:[ [ Term.var "x" p ] ]
-  in
-  Alcotest.(check bool) "wildcard row covers a parameter sort" true
-    (Pattern_matrix.exhaustive wild)
+  (match missing empty [ x ] with
+  | [ [ w ] ] ->
+    Alcotest.(check bool) "the empty matrix leaves a variable witness" true
+      (match Term.view (Pattern_matrix.instantiate_wildcards spec w) with
+      | Term.Var _ -> true
+      | _ -> false)
+  | _ -> Alcotest.fail "expected one missing leaf");
+  let wild = Pattern_matrix.create spec ~sorts:[ p ] ~rows:[ [ x ] ] in
+  Alcotest.(check int) "wildcard row covers a parameter sort" 0
+    (List.length (missing wild [ x ]))
 
 let test_matrix_width_mismatch () =
   Alcotest.check_raises "ragged rows rejected"
@@ -255,34 +268,46 @@ let test_adt002_adt022_consistent () =
 
 (* {1 ADT020 agrees with exhaustive ground enumeration (qcheck)} *)
 
+(* every application of [op] to a tuple of ground constructor terms up to
+   [size] *)
+let ground_instances spec op ~size =
+  let u = Enum.universe spec in
+  List.fold_right
+    (fun sort tuples ->
+      List.concat_map
+        (fun arg -> List.map (fun rest -> arg :: rest) tuples)
+        (Enum.terms_up_to u sort ~size))
+    (Op.args op) [ [] ]
+  |> List.map (Term.app op)
+
+let executable_lhs spec op =
+  List.filter Axiom.is_executable (Spec.axioms_for op spec)
+  |> List.map Axiom.lhs
+
 (* the ground truth, computed the expensive way: a tuple of constructor
    terms no executable axiom matches at the root, sought exhaustively *)
 let ground_uncovered spec op ~size =
-  let u = Enum.universe spec in
-  let patterns =
-    List.filter Axiom.is_executable (Spec.axioms_for op spec)
-    |> List.map Axiom.lhs
-  in
-  let choices =
-    List.map (fun s -> Enum.terms_up_to u s ~size) (Op.args op)
-  in
-  if List.exists (fun c -> c = []) choices then false
-  else begin
-    let exception Found in
-    let check args =
-      let t = Term.app op args in
-      if not (List.exists (fun p -> Subst.matches ~pattern:p t) patterns)
-      then raise Found
-    in
-    let rec product acc = function
-      | [] -> check (List.rev acc)
-      | cs :: rest -> List.iter (fun c -> product (c :: acc) rest) cs
-    in
-    try
-      product [] choices;
-      false
-    with Found -> true
-  end
+  let patterns = executable_lhs spec op in
+  List.exists
+    (fun t -> not (List.exists (fun p -> Subst.matches ~pattern:p t) patterns))
+    (ground_instances spec op ~size)
+
+(* observers with no axioms: WEIGHT is over a parameter sort, so no
+   ground instance exists and there is nothing to cover; the constant
+   ORIGIN has one ground instance, which no axiom covers *)
+let probe_src =
+  {|
+spec Scale
+  sort Scale
+  sort I
+  ops
+    EMPTY : -> Scale
+    PUT : Scale I -> Scale
+    WEIGHT : I -> Bool
+    ORIGIN : -> Scale
+  constructors EMPTY PUT
+end
+|}
 
 let observer_pool () =
   List.concat_map
@@ -297,7 +322,7 @@ let observer_pool () =
        sym_spec ();
        toggle_spec ();
      ]
-    @ [ parse Test_analysis.free_rhs_src ])
+    @ [ parse Test_analysis.free_rhs_src; parse probe_src ])
 
 let test_matrix_agrees_with_enumeration =
   let pool = observer_pool () in
@@ -312,6 +337,47 @@ let test_matrix_agrees_with_enumeration =
       | Some h when h.Verify.decided -> ground_uncovered spec op ~size:3
       | Some _ -> true (* undecided: the matrix makes no claim *)
       | None -> not (ground_uncovered spec op ~size:3))
+
+(* the case table [adtc check] prints, against the same enumeration:
+   every ground instance falls in exactly one case, every axiom a case
+   lists matches all its instances at the root, and (with no
+   non-left-linear axiom to leave the verdict open) no executable axiom
+   matches an instance of a missing case *)
+let test_cases_agree_with_enumeration =
+  let pool = observer_pool () in
+  qcheck ~count:120 "check_op cases partition the ground instances"
+    QCheck2.Gen.(int_range 0 (List.length pool - 1))
+    (fun i ->
+      let spec, op = List.nth pool i in
+      let r = Completeness.check_op spec op in
+      let axioms = Spec.axioms_for op spec in
+      let label ax =
+        if String.equal (Axiom.name ax) "" then Fmt.str "%a" Axiom.pp ax
+        else Axiom.name ax
+      in
+      let linear = List.for_all Axiom.is_left_linear axioms in
+      let executable = executable_lhs spec op in
+      List.for_all
+        (fun t ->
+          match
+            List.filter
+              (fun c -> Subst.matches ~pattern:c.Completeness.pattern t)
+              r.Completeness.cases
+          with
+          | [ c ] ->
+            List.for_all
+              (fun ax ->
+                (not (List.mem (label ax) c.Completeness.covered_by))
+                || Subst.matches ~pattern:(Axiom.lhs ax) t)
+              axioms
+            && (c.Completeness.covered_by <> []
+               || (not linear)
+               || not
+                    (List.exists
+                       (fun p -> Subst.matches ~pattern:p t)
+                       executable))
+          | _ -> false)
+        (ground_instances spec op ~size:3))
 
 (* {1 An RPO-oriented system never loops (test_diff's harness)} *)
 
@@ -335,7 +401,7 @@ let suite =
   [
     case "matrix: exhaustive" test_matrix_exhaustive;
     case "matrix: uncovered witness" test_matrix_uncovered_witness;
-    case "matrix: usefulness" test_matrix_usefulness;
+    case "matrix: case split" test_matrix_cases;
     case "matrix: parameter sorts are infinite" test_matrix_parameter_sort;
     case "matrix: ragged rows rejected" test_matrix_width_mismatch;
     case "search: orients the corpus" test_search_orients_corpus;
@@ -353,6 +419,7 @@ let suite =
     case "the whole corpus verifies" test_corpus_verified;
     case "ADT002 and ADT022 agree on specs/faulty" test_adt002_adt022_consistent;
     test_matrix_agrees_with_enumeration;
+    test_cases_agree_with_enumeration;
   ]
   @ List.map no_loop_case
       [
